@@ -57,6 +57,18 @@ class _RankState:
         # index arrays (see DapperHTracker._mitigate).
         self.pair_cache: dict[tuple[int, int], tuple] = {}
 
+    def __getstate__(self) -> dict:
+        # Every cache is derived from the tables' key epoch; pickled
+        # snapshots rebuild them on demand instead of carrying them.
+        return {
+            **self.__dict__,
+            "cross_cache_1": {},
+            "cross_cache_2": {},
+            "cross_array_cache_1": {},
+            "cross_array_cache_2": {},
+            "pair_cache": {},
+        }
+
     def cross_members_1(self, group1: int) -> list[tuple[int, int]]:
         """Members of table-1 group ``group1`` as ``(rank_row, group2)`` pairs."""
         cached = self.cross_cache_1.get(group1)
@@ -147,6 +159,11 @@ class DapperHTracker(RowHammerTracker):
         #: validate the paper's claim that 99.9% of mitigations refresh a
         #: single row.
         self.shared_row_histogram: dict[int, int] = {}
+
+    def __getstate__(self) -> dict:
+        # The row memo is derived from the fixed geometry; snapshots
+        # leave it out.
+        return {**self.__dict__, "_row_memo": {}}
 
     # ------------------------------------------------------------------ #
 

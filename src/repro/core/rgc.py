@@ -58,6 +58,11 @@ class RowGroupCounterTable:
         self._member_cache: dict[int, list[int]] = {}
         self._group_cache: dict[int, int] = {}
 
+    def __getstate__(self) -> dict:
+        # The memos are pure functions of the cipher key; leaving them out
+        # keeps snapshots (see ``repro.sim.experiment``) small.
+        return {**self.__dict__, "_member_cache": {}, "_group_cache": {}}
+
     # ------------------------------------------------------------------ #
     # Mapping
     # ------------------------------------------------------------------ #

@@ -16,6 +16,7 @@ plans.
 
 from __future__ import annotations
 
+import pickle
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -41,6 +42,14 @@ ATTACKER_MLP = 24
 #: Seed perturbation applied to attack kernels so an attacker and a benign
 #: generator with the same scenario seed never draw the same stream.
 _ATTACK_SEED_SALT = 0xA77ACF
+
+#: Post-warm-up tracker snapshots (pickled), keyed by everything the attack
+#: warm-up reads: tracker name, attack or attacker cores, cap, seed and
+#: configuration.  The warm-up never reads the benign workload, so the
+#: workloads of a figure share one warm-up per tracker and attack.  Bounded
+#: and evicted first-in-first-out like ``repro.sim.batch._WARM_CACHE``.
+_TRACKER_WARM_CACHE: dict = {}
+_TRACKER_WARM_CACHE_MAX = 8
 
 
 class ThrottledGenerator:
@@ -380,6 +389,40 @@ def _replay_warmup(
     return performed
 
 
+def _warmup_memo_key(
+    tracker: str | RowHammerTracker,
+    attack: str | None,
+    core_plan: tuple[CoreAssignment, ...] | None,
+    config: SystemConfig,
+    activations: int,
+    seed: int,
+) -> tuple | None:
+    """Memo key of a run's attack warm-up, or ``None`` to bypass the memo.
+
+    Tracker objects passed in are the caller's to warm; ``none`` settles its
+    warm-up in bulk, so there is nothing to save.
+    """
+    if not isinstance(tracker, str) or tracker == "none" or activations <= 0:
+        return None
+    if core_plan is not None:
+        attackers = tuple(
+            (core_id, assignment.name, assignment.hammer_rate)
+            for core_id, assignment in enumerate(core_plan)
+            if assignment.is_attacker
+        )
+        if not attackers:
+            return None
+        return (tracker, None, attackers, activations, seed, config)
+    if attack is None:
+        return None
+    return (tracker, attack, None, activations, seed, config)
+
+
+def clear_warmup_memo() -> None:
+    """Forget every memoized tracker warm-up, so the next ones run cold."""
+    _TRACKER_WARM_CACHE.clear()
+
+
 def run_workload(
     config: SystemConfig | None = None,
     tracker: str = "none",
@@ -407,6 +450,10 @@ def run_workload(
 
     ``probe`` attaches a :class:`repro.obs.Probe` (tracing / metrics /
     profiling); instrumentation never changes the result, only wall-clock.
+
+    The attack warm-up of a tracker named by string is memoized per process
+    (see :func:`_warmup_memo_key`): a repeat restores a pickled snapshot of
+    the warmed tracker instead of replaying the attack again.
     """
     config = config or baseline_config()
     seed = config.seed if seed is None else seed
@@ -419,19 +466,35 @@ def run_workload(
     else:
         profile = _resolve_workload(workload)
         specs = build_core_specs(config, profile, attack, requests_per_core, seed)
-    tracker_obj = create_tracker(tracker, config) if isinstance(tracker, str) else tracker
+    memo_key = _warmup_memo_key(
+        tracker, attack, core_plan, config, attack_warmup_activations, seed
+    )
+    snapshot = _TRACKER_WARM_CACHE.get(memo_key)  # never holds ``None``
+    if snapshot is None:
+        tracker_obj = (
+            create_tracker(tracker, config) if isinstance(tracker, str) else tracker
+        )
     profiler = probe.profiler if probe is not None else None
     warmup_stage = (
         profiler.stage("tracker-warmup") if profiler is not None else nullcontext()
     )
     with warmup_stage:
-        if core_plan is not None and attack_warmup_activations > 0:
+        if snapshot is not None:
+            tracker_obj = pickle.loads(snapshot)
+        elif core_plan is not None and attack_warmup_activations > 0:
             warm_up_tracker_from_plan(
                 tracker_obj, core_plan, config, attack_warmup_activations, seed
             )
         elif attack is not None and attack_warmup_activations > 0:
             warm_up_tracker(
                 tracker_obj, attack, config, attack_warmup_activations, seed
+            )
+        if snapshot is None and memo_key is not None:
+            # Snapshot before the simulator attaches to the tracker.
+            if len(_TRACKER_WARM_CACHE) >= _TRACKER_WARM_CACHE_MAX:
+                _TRACKER_WARM_CACHE.pop(next(iter(_TRACKER_WARM_CACHE)))
+            _TRACKER_WARM_CACHE[memo_key] = pickle.dumps(
+                tracker_obj, protocol=pickle.HIGHEST_PROTOCOL
             )
     simulator = engine_class(engine)(
         config,

@@ -12,10 +12,7 @@ import json
 
 import pytest
 
-import repro.core.dapper_h as dapper_h_mod
-import repro.sim.batch as batch_mod
 from repro.config import reduced_row_config
-from repro.core.rgc import RowGroupCounterTable
 from repro.sim.experiment import run_workload
 from repro.sim.sweep import CoreAssignment, ScenarioSpec, SweepRunner
 from repro.trackers.registry import available_trackers
@@ -101,16 +98,8 @@ class TestExecutionModeParity:
 
 
 class TestPurePythonFallbackParity:
-    def test_dapper_h_without_numpy_matches(self, monkeypatch):
+    def test_dapper_h_without_numpy_matches(self, disable_numpy):
         reference = _run("dapper-h", "batched")
-        monkeypatch.setattr(dapper_h_mod, "_np", None)
-        monkeypatch.setattr(batch_mod, "_np", None)
-        original_init = RowGroupCounterTable.__init__
-
-        def pure_init(self, *args, **kwargs):
-            kwargs["use_numpy"] = False
-            original_init(self, *args, **kwargs)
-
-        monkeypatch.setattr(RowGroupCounterTable, "__init__", pure_init)
+        disable_numpy()
         assert _run("dapper-h", "scalar") == reference
         assert _run("dapper-h", "batched") == reference

@@ -15,10 +15,7 @@ import random
 
 import pytest
 
-import repro.core.dapper_h as dapper_h_mod
-import repro.sim.batch as batch_mod
 from repro.config import reduced_row_config
-from repro.core.rgc import RowGroupCounterTable
 from repro.cpu.trace import TraceEntry
 from repro.cpu.tracefile import (
     FileTraceGenerator,
@@ -200,17 +197,9 @@ class TestTraceReplayParity:
 
 
 class TestPurePythonFallbackParity:
-    def test_event_engine_without_numpy_matches(self, monkeypatch):
+    def test_event_engine_without_numpy_matches(self, disable_numpy):
         reference = _run("dapper-h", "event")
-        monkeypatch.setattr(dapper_h_mod, "_np", None)
-        monkeypatch.setattr(batch_mod, "_np", None)
-        original_init = RowGroupCounterTable.__init__
-
-        def pure_init(self, *args, **kwargs):
-            kwargs["use_numpy"] = False
-            original_init(self, *args, **kwargs)
-
-        monkeypatch.setattr(RowGroupCounterTable, "__init__", pure_init)
+        disable_numpy()
         assert _run("dapper-h", "scalar") == reference
         assert _run("dapper-h", "event") == reference
 

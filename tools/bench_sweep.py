@@ -48,6 +48,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.scenarios import family_by_name                    # noqa: E402
+from repro.sim.experiment import clear_warmup_memo            # noqa: E402
 from repro.sim.sweep import CODE_VERSION, SweepRunner         # noqa: E402
 from repro.store import SqliteStore                           # noqa: E402
 
@@ -69,6 +70,10 @@ def reference_specs(requests_per_core: int):
 
 
 def _run_mode(specs, runner: SweepRunner, engine: str | None = None) -> tuple[dict, list]:
+    # Every mode pays its own tracker warm-ups: otherwise a later mode (and
+    # the pool workers forked from this process) would restore the warm-ups
+    # an earlier mode paid for, inflating its speedup.
+    clear_warmup_memo()
     previous = os.environ.get(_ENGINE_ENV)
     if engine is not None:
         os.environ[_ENGINE_ENV] = engine
@@ -108,6 +113,7 @@ def _profile_stages(specs) -> dict[str, float]:
         (s for s in specs if s.tracker != "none" and s.attack), specs[0]
     )
     profiler = PipelineProfiler()
+    clear_warmup_memo()  # time the warm-up itself, not a restore
     run_workload(
         config=spec.resolved_config(),
         tracker=spec.tracker,
